@@ -663,6 +663,84 @@ let rec rm_rf path =
     end
     else Sys.remove path
 
+(* best-of-[reps]: the minimum is the run least disturbed by the
+   scheduler and the GC, which is what a deterministic computation's
+   cost actually is *)
+let b13_time reps f =
+  let best = ref infinity in
+  for _ = 1 to reps do
+    let t0 = Unix.gettimeofday () in
+    ignore (Sys.opaque_identity (f ()));
+    let dt = Unix.gettimeofday () -. t0 in
+    if dt < !best then best := dt
+  done;
+  !best *. 1e9
+
+(* The Restruct checkpoint of a migrated database — the write that
+   dominated `dbre analyze` — by the streaming writer and by the tree
+   writer it replaced (Baselines.Checkpoint_tree), on the perfbench
+   analyze-narrow shape: Gen_schema's default spec at 100k rows (4k in
+   --smoke). The byte-identity boolean gates every mode, the speedup
+   floor full runs only; minor-heap words are reported beside them. *)
+let b10_restruct_write dir =
+  let module Ckpt = Dbre.Checkpoint in
+  let module Tree = Baselines.Checkpoint_tree in
+  let g =
+    Workload.Gen_schema.generate
+      (Workload.Gen_schema.scale
+         (if !smoke then 0.5 else 12.5)
+         Workload.Gen_schema.default_spec)
+  in
+  let rows = Database.total_tuples g.Workload.Gen_schema.db in
+  let r =
+    match
+      Dbre.Pipeline.run_checked g.Workload.Gen_schema.db
+        (Dbre.Job_spec.Equijoins g.Workload.Gen_schema.equijoins)
+    with
+    | Ok res -> res.Dbre.Pipeline.restruct_result
+    | Stdlib.Error p -> failwith (Error.to_string p.Dbre.Pipeline.p_error)
+  in
+  rm_rf dir;
+  let stream () = Ckpt.write_restruct ~dir r in
+  let tree () = Tree.write_restruct ~dir r in
+  let minor_words f =
+    let w0 = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. w0
+  in
+  let s_mw = minor_words stream /. 1e6 in
+  let written =
+    In_channel.with_open_bin (Ckpt.path ~dir Ckpt.Restruct)
+      In_channel.input_all
+  in
+  let identical =
+    String.equal written
+      (Tree.document Ckpt.Restruct (Tree.restruct_payload r))
+  in
+  let t_mw = minor_words tree /. 1e6 in
+  let reps = if !smoke then 2 else 5 in
+  let s_ns = b13_time reps stream in
+  let t_ns = b13_time reps tree in
+  rm_rf dir;
+  Printf.printf
+    "  restruct checkpoint, %d source rows, %.1f MB: byte-identical to the \
+     tree writer: %b\n"
+    rows
+    (float_of_int (String.length written) /. 1e6)
+    identical;
+  Printf.printf
+    "  streaming %s / %.2f Mw minor, tree %s / %.2f Mw minor -> %.1fx \
+     (target: >= 3x)\n%!"
+    (pretty_time s_ns) s_mw (pretty_time t_ns) t_mw (t_ns /. s_ns);
+  record ~target:1.0 "restruct-write/byte-identical"
+    (if identical then 1.0 else 0.0)
+    "bool";
+  record "restruct-write/streaming" s_ns "ns";
+  record "restruct-write/tree" t_ns "ns";
+  record ?target:(full_target 3.0) "restruct-write/speedup" (t_ns /. s_ns) "x";
+  record "restruct-write/streaming-minor" s_mw "Mw";
+  record "restruct-write/tree-minor" t_mw "Mw"
+
 let b10 () =
   section "B10: fault-tolerance overhead on the E5 scaling workload";
   let g = Workload.Gen_schema.generate (pipeline_spec 8) in
@@ -720,7 +798,8 @@ let b10 () =
       Printf.printf "  checkpointing overhead: %+.2f%%\n"
         ((ckpt -. raw) /. raw *. 100.0)
   | _ -> ());
-  rm_rf ckpt_dir
+  rm_rf ckpt_dir;
+  b10_restruct_write ckpt_dir
 
 (* ------------------------------------------------------------------ *)
 (* B11: columnar engine - cold vs warm caches, row vs columnar checks,  *)
@@ -951,19 +1030,6 @@ let b13_artifact_spec () =
   Workload.Gen_schema.scale
     (if !smoke then 0.05 else 5.0)
     Workload.Gen_schema.default_spec
-
-(* best-of-[reps]: the minimum is the run least disturbed by the
-   scheduler and the GC, which is what a deterministic computation's
-   cost actually is *)
-let b13_time reps f =
-  let best = ref infinity in
-  for _ = 1 to reps do
-    let t0 = Unix.gettimeofday () in
-    ignore (Sys.opaque_identity (f ()));
-    let dt = Unix.gettimeofday () -. t0 in
-    if dt < !best then best := dt
-  done;
-  !best *. 1e9
 
 let b13 () =
   section "B13: batched verification planner + persistent domain pool";

@@ -27,20 +27,117 @@ exception Corrupt of string
 
 let corrupt msg = raise (Corrupt msg)
 
-(* Content checksum (v2): FNV-1a 64 over the canonical serialization
-   of the payload sexp. Verified on read against a re-serialization of
-   the parsed payload, so a file that was truncated or hand-edited into
-   something still parseable is detected as corrupt (and recomputed)
-   rather than resumed from. *)
-let fnv1a64 s =
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
-    s;
-  Printf.sprintf "%016Lx" !h
+(* Content checksum (v2): FNV-1a 64 over the payload's bytes exactly
+   as they sit in the file. The writer folds it chunk by chunk as it
+   streams; the reader hashes the bytes it read, so a file truncated or
+   edited into something still parseable is detected as corrupt (and
+   recomputed) rather than resumed from. *)
+let fnv_offset = 0xcbf29ce484222325L
 
-(* --- generic sexp helpers --- *)
+let fnv_fold h b pos len =
+  let h = ref h in
+  for i = pos to pos + len - 1 do
+    h :=
+      Int64.mul
+        (Int64.logxor !h (Int64.of_int (Char.code (Bytes.unsafe_get b i))))
+        0x100000001b3L
+  done;
+  !h
+
+let hex_digest h = Printf.sprintf "%016Lx" h
+
+(* Everything before the checksum digits. The digits have a fixed
+   width, so the payload starts at a fixed offset and the writer can
+   patch them in after streaming the payload. *)
+let header stage =
+  Printf.sprintf "(checkpoint (version %d) (stage %s) (checksum " version
+    (stage_name stage)
+
+let digits = 16
+let after_digits = ") "
+let trailer = ")\n"
+
+(* --- streaming writer --- *)
+
+(* Payload text accumulates in [buf]; whenever it holds a chunk's worth
+   it is folded into the running checksum and written out, so a write
+   holds one chunk of the file, never the document or a tree of it. *)
+type writer = {
+  oc : Out_channel.t;
+  buf : Buffer.t;
+  chunk : Bytes.t;
+  mutable sum : int64;
+}
+
+let chunk_size = 1 lsl 16
+
+let drain w =
+  let len = Buffer.length w.buf in
+  let rec go off =
+    if off < len then begin
+      let n = min chunk_size (len - off) in
+      Buffer.blit w.buf off w.chunk 0 n;
+      w.sum <- fnv_fold w.sum w.chunk 0 n;
+      Out_channel.output w.oc w.chunk 0 n;
+      go (off + n)
+    end
+  in
+  go 0;
+  Buffer.clear w.buf
+
+let spill w = if Buffer.length w.buf >= chunk_size then drain w
+
+(* Emitters: an ['a] emitter appends one ['a]'s canonical text to the
+   writer — what {!Sexp.to_string} prints for its tree form: atoms
+   through {!Sexp.add_atom}, list items separated by one space,
+   nothing else. *)
+let str w s = Buffer.add_string w.buf s
+let char w c = Buffer.add_char w.buf c
+let put_atom s w = Sexp.add_atom w.buf s
+
+let rec put_digits w n =
+  if n >= 10 then put_digits w (n / 10);
+  char w (Char.unsafe_chr (48 + (n mod 10)))
+
+(* [string_of_int] without the allocation; an integer atom never needs
+   quoting *)
+let put_int i w =
+  if i >= 0 then put_digits w i
+  else if i = min_int then str w (string_of_int i)
+  else begin
+    char w '-';
+    put_digits w (-i)
+  end
+
+let put_float f = put_atom (Printf.sprintf "%h" f)
+
+(* [(item item ...)] *)
+let put_list put items w =
+  char w '(';
+  List.iteri
+    (fun i x ->
+      if i > 0 then char w ' ';
+      put x w)
+    items;
+  char w ')'
+
+(* [(tag field ...)]; [(tag)] without fields. Spills after each field,
+   so a long list is never held whole either. *)
+let put_fields tag fields w =
+  char w '(';
+  str w tag;
+  List.iter
+    (fun field ->
+      char w ' ';
+      field w;
+      spill w)
+    fields;
+  char w ')'
+
+let put_tagged tag put items = put_fields tag (List.map put items)
+let put_names = put_list put_atom
+
+(* --- generic sexp readers --- *)
 
 let atom = function Sexp.Atom a -> a | Sexp.List _ -> corrupt "expected atom"
 
@@ -58,23 +155,37 @@ let assoc tag fields =
   | Some (Sexp.List (_ :: rest)) -> rest
   | _ -> corrupt ("missing field " ^ tag)
 
-let tagged tag items = Sexp.List (Sexp.Atom tag :: items)
+let names_of_sexps l = List.map atom l
 
 (* --- leaf codecs --- *)
 
-let sexp_of_value = function
-  | Value.Null -> tagged "null" []
-  | Value.Bool b -> tagged "bool" [ Sexp.Atom (string_of_bool b) ]
-  | Value.Int i -> tagged "int" [ Sexp.Atom (string_of_int i) ]
-  | Value.Float f -> tagged "float" [ Sexp.Atom (Printf.sprintf "%h" f) ]
-  | Value.String s -> tagged "string" [ Sexp.Atom s ]
+(* one call per cell: direct appends, no allocation but a float's
+   text *)
+let put_value v w =
+  match v with
+  | Value.Null -> str w "(null)"
+  | Value.Bool true -> str w "(bool true)"
+  | Value.Bool false -> str w "(bool false)"
+  | Value.Int i ->
+      str w "(int ";
+      put_int i w;
+      char w ')'
+  | Value.Float f ->
+      str w "(float ";
+      put_float f w;
+      char w ')'
+  | Value.String s ->
+      str w "(string ";
+      put_atom s w;
+      char w ')'
   | Value.Date { Value.year; month; day } ->
-      tagged "date"
-        [
-          Sexp.Atom (string_of_int year);
-          Sexp.Atom (string_of_int month);
-          Sexp.Atom (string_of_int day);
-        ]
+      str w "(date ";
+      put_int year w;
+      char w ' ';
+      put_int month w;
+      char w ' ';
+      put_int day w;
+      char w ')'
 
 let value_of_sexp = function
   | Sexp.List [ Sexp.Atom "null" ] -> Value.Null
@@ -102,21 +213,17 @@ let domain_of_string = function
   | "unknown" -> Domain.Unknown
   | s -> corrupt ("bad domain " ^ s)
 
-let names l = List.map (fun a -> Sexp.Atom a) l
-let names_of_sexps l = List.map atom l
-
-let sexp_of_relation (r : Relation.t) =
-  tagged "relation"
+let put_relation (r : Relation.t) =
+  put_fields "relation"
     [
-      tagged "name" [ Sexp.Atom r.Relation.name ];
-      tagged "attrs" (names r.Relation.attrs);
-      tagged "domains"
+      put_tagged "name" put_atom [ r.Relation.name ];
+      put_tagged "attrs" put_atom r.Relation.attrs;
+      put_tagged "domains" put_atom
         (List.map
-           (fun a -> Sexp.Atom (Domain.to_string (Relation.domain_of r a)))
+           (fun a -> Domain.to_string (Relation.domain_of r a))
            r.Relation.attrs);
-      tagged "uniques"
-        (List.map (fun u -> Sexp.List (names u)) r.Relation.uniques);
-      tagged "not-nulls" (names r.Relation.not_nulls);
+      put_tagged "uniques" put_names r.Relation.uniques;
+      put_tagged "not-nulls" put_atom r.Relation.not_nulls;
     ]
 
 let relation_of_sexp = function
@@ -140,43 +247,54 @@ let relation_of_sexp = function
       Relation.make ~domains ~uniques ~not_nulls name attrs
   | _ -> corrupt "bad relation"
 
-let sexp_of_table t =
-  tagged "table"
-    [
-      sexp_of_relation (Table.schema t);
-      tagged "rows"
-        (List.map
-           (fun row -> Sexp.List (List.map sexp_of_value row))
-           (Table.to_lists t));
-    ]
+(* Rows go straight from the tuple array into the buffer, one chunk
+   spilled at a time. *)
+let put_table t w =
+  str w "(table ";
+  put_relation (Table.schema t) w;
+  str w " (rows";
+  let rows = Table.rows t in
+  for i = 0 to Array.length rows - 1 do
+    let row = rows.(i) in
+    str w " (";
+    for j = 0 to Array.length row - 1 do
+      if j > 0 then char w ' ';
+      put_value row.(j) w
+    done;
+    char w ')';
+    spill w
+  done;
+  str w "))"
 
+(* one tuple array per table, handed whole to {!Table.of_rows} *)
 let table_of_sexp = function
   | Sexp.List [ Sexp.Atom "table"; rel; Sexp.List (Sexp.Atom "rows" :: rows) ]
     ->
-      let t = Table.create (relation_of_sexp rel) in
-      List.iter
-        (function
-          | Sexp.List cells -> Table.insert t (List.map value_of_sexp cells)
+      let tups = Array.make (List.length rows) [||] in
+      List.iteri
+        (fun i -> function
+          | Sexp.List cells ->
+              tups.(i) <- Array.of_list (List.map value_of_sexp cells)
           | Sexp.Atom _ -> corrupt "bad row")
         rows;
-      t
+      Table.of_rows (relation_of_sexp rel) tups
   | _ -> corrupt "bad table"
 
-let sexp_of_attr (a : Attribute.t) =
-  tagged "attr" [ Sexp.Atom a.Attribute.rel; Sexp.List (names a.Attribute.attrs) ]
+let put_attr (a : Attribute.t) =
+  put_fields "attr" [ put_atom a.Attribute.rel; put_names a.Attribute.attrs ]
 
 let attr_of_sexp = function
   | Sexp.List [ Sexp.Atom "attr"; rel; Sexp.List attrs ] ->
       Attribute.make (atom rel) (names_of_sexps attrs)
   | _ -> corrupt "bad attr"
 
-let sexp_of_join (j : Sqlx.Equijoin.t) =
-  tagged "join"
+let put_join (j : Sqlx.Equijoin.t) =
+  put_fields "join"
     [
-      Sexp.Atom j.Sqlx.Equijoin.rel1;
-      Sexp.List (names j.Sqlx.Equijoin.attrs1);
-      Sexp.Atom j.Sqlx.Equijoin.rel2;
-      Sexp.List (names j.Sqlx.Equijoin.attrs2);
+      put_atom j.Sqlx.Equijoin.rel1;
+      put_names j.Sqlx.Equijoin.attrs1;
+      put_atom j.Sqlx.Equijoin.rel2;
+      put_names j.Sqlx.Equijoin.attrs2;
     ]
 
 let join_of_sexp = function
@@ -187,25 +305,17 @@ let join_of_sexp = function
         (atom r2, names_of_sexps a2)
   | _ -> corrupt "bad join"
 
-let sexp_of_ind i = Sexp.Atom (Ind.to_string i)
+let put_ind i = put_atom (Ind.to_string i)
 let ind_of_sexp s = Ind.parse (atom s)
-let sexp_of_fd f = Sexp.Atom (Fd.to_string f)
+let put_fd f = put_atom (Fd.to_string f)
 let fd_of_sexp s = Fd.parse (atom s)
 
-let sexp_of_reason = function
-  | Supervise.Cancelled -> Sexp.Atom "cancelled"
+let put_reason = function
+  | Supervise.Cancelled -> put_atom "cancelled"
   | Supervise.Deadline { limit_s; elapsed_s } ->
-      tagged "deadline"
-        [
-          Sexp.Atom (Printf.sprintf "%h" limit_s);
-          Sexp.Atom (Printf.sprintf "%h" elapsed_s);
-        ]
+      put_fields "deadline" [ put_float limit_s; put_float elapsed_s ]
   | Supervise.Heap { limit_words; live_words } ->
-      tagged "heap"
-        [
-          Sexp.Atom (string_of_int limit_words);
-          Sexp.Atom (string_of_int live_words);
-        ]
+      put_fields "heap" [ put_int limit_words; put_int live_words ]
 
 let reason_of_sexp = function
   | Sexp.Atom "cancelled" -> Supervise.Cancelled
@@ -219,9 +329,7 @@ let reason_of_sexp = function
 
 (* [None] (a complete stage) serializes as an empty [exhausted] field
    so v2 checkpoints always carry the completeness verdict explicitly *)
-let sexp_of_exhausted = function
-  | None -> tagged "exhausted" []
-  | Some r -> tagged "exhausted" [ sexp_of_reason r ]
+let put_exhausted r = put_tagged "exhausted" put_reason (Option.to_list r)
 
 let exhausted_of_sexps = function
   | [] -> None
@@ -230,24 +338,20 @@ let exhausted_of_sexps = function
 
 (* --- ind-discovery --- *)
 
-let sexp_of_counts (c : Ind.counts) =
-  tagged "counts"
-    [
-      Sexp.Atom (string_of_int c.Ind.n_left);
-      Sexp.Atom (string_of_int c.Ind.n_right);
-      Sexp.Atom (string_of_int c.Ind.n_join);
-    ]
+let put_counts (c : Ind.counts) =
+  put_fields "counts"
+    [ put_int c.Ind.n_left; put_int c.Ind.n_right; put_int c.Ind.n_join ]
 
 let counts_of_sexp = function
   | Sexp.List [ Sexp.Atom "counts"; l; r; j ] ->
       { Ind.n_left = int_atom l; n_right = int_atom r; n_join = int_atom j }
   | _ -> corrupt "bad counts"
 
-let sexp_of_decision = function
-  | Oracle.Conceptualize name -> tagged "conceptualize" [ Sexp.Atom name ]
-  | Oracle.Force_left_in_right -> Sexp.Atom "force-left-in-right"
-  | Oracle.Force_right_in_left -> Sexp.Atom "force-right-in-left"
-  | Oracle.Ignore_nei -> Sexp.Atom "ignore"
+let put_decision = function
+  | Oracle.Conceptualize name -> put_tagged "conceptualize" put_atom [ name ]
+  | Oracle.Force_left_in_right -> put_atom "force-left-in-right"
+  | Oracle.Force_right_in_left -> put_atom "force-right-in-left"
+  | Oracle.Ignore_nei -> put_atom "ignore"
 
 let decision_of_sexp = function
   | Sexp.List [ Sexp.Atom "conceptualize"; n ] -> Oracle.Conceptualize (atom n)
@@ -256,11 +360,10 @@ let decision_of_sexp = function
   | Sexp.Atom "ignore" -> Oracle.Ignore_nei
   | _ -> corrupt "bad nei decision"
 
-let sexp_of_case = function
-  | Ind_discovery.Empty_intersection -> Sexp.Atom "empty"
-  | Ind_discovery.Included inds ->
-      tagged "included" (List.map sexp_of_ind inds)
-  | Ind_discovery.Nei d -> tagged "nei" [ sexp_of_decision d ]
+let put_case = function
+  | Ind_discovery.Empty_intersection -> put_atom "empty"
+  | Ind_discovery.Included inds -> put_tagged "included" put_ind inds
+  | Ind_discovery.Nei d -> put_tagged "nei" put_decision [ d ]
 
 let case_of_sexp = function
   | Sexp.Atom "empty" -> Ind_discovery.Empty_intersection
@@ -269,12 +372,12 @@ let case_of_sexp = function
   | Sexp.List [ Sexp.Atom "nei"; d ] -> Ind_discovery.Nei (decision_of_sexp d)
   | _ -> corrupt "bad case"
 
-let sexp_of_ind_step (s : Ind_discovery.step) =
-  tagged "step"
+let put_ind_step (s : Ind_discovery.step) =
+  put_fields "step"
     [
-      sexp_of_join s.Ind_discovery.join;
-      sexp_of_counts s.Ind_discovery.counts;
-      sexp_of_case s.Ind_discovery.case;
+      put_join s.Ind_discovery.join;
+      put_counts s.Ind_discovery.counts;
+      put_case s.Ind_discovery.case;
     ]
 
 let ind_step_of_sexp = function
@@ -288,11 +391,11 @@ let ind_step_of_sexp = function
 
 (* --- rhs-discovery --- *)
 
-let sexp_of_outcome = function
-  | Rhs_discovery.Fd_elicited fd -> tagged "fd-elicited" [ sexp_of_fd fd ]
-  | Rhs_discovery.Became_hidden -> Sexp.Atom "became-hidden"
-  | Rhs_discovery.Dropped -> Sexp.Atom "dropped"
-  | Rhs_discovery.Already_hidden -> Sexp.Atom "already-hidden"
+let put_outcome = function
+  | Rhs_discovery.Fd_elicited fd -> put_tagged "fd-elicited" put_fd [ fd ]
+  | Rhs_discovery.Became_hidden -> put_atom "became-hidden"
+  | Rhs_discovery.Dropped -> put_atom "dropped"
+  | Rhs_discovery.Already_hidden -> put_atom "already-hidden"
 
 let outcome_of_sexp = function
   | Sexp.List [ Sexp.Atom "fd-elicited"; fd ] ->
@@ -302,12 +405,12 @@ let outcome_of_sexp = function
   | Sexp.Atom "already-hidden" -> Rhs_discovery.Already_hidden
   | _ -> corrupt "bad outcome"
 
-let sexp_of_rhs_step (s : Rhs_discovery.step) =
-  tagged "step"
+let put_rhs_step (s : Rhs_discovery.step) =
+  put_fields "step"
     [
-      sexp_of_attr s.Rhs_discovery.candidate;
-      Sexp.List (names s.Rhs_discovery.pruned_rhs);
-      sexp_of_outcome s.Rhs_discovery.outcome;
+      put_attr s.Rhs_discovery.candidate;
+      put_names s.Rhs_discovery.pruned_rhs;
+      put_outcome s.Rhs_discovery.outcome;
     ]
 
 let rhs_step_of_sexp = function
@@ -328,48 +431,73 @@ let rec ensure_dir dir =
     try Sys.mkdir dir 0o755 with Sys_error _ -> ()
   end
 
+(* [(checkpoint (version 2) (stage <name>) (checksum <16 hex>) <payload>)]
+   and a newline, written in one pass: header with placeholder digits,
+   the payload streamed through the checksum, the trailer, then a seek
+   back to patch the digits in. Atomic: tmp file + rename. *)
 let write_file ~dir stage payload =
   ensure_dir dir;
   let file = path ~dir stage in
   let tmp = file ^ ".tmp" in
-  let doc =
-    tagged "checkpoint"
-      [
-        tagged "version" [ Sexp.Atom (string_of_int version) ];
-        tagged "stage" [ Sexp.Atom (stage_name stage) ];
-        tagged "checksum" [ Sexp.Atom (fnv1a64 (Sexp.to_string payload)) ];
-        payload;
-      ]
-  in
-  Out_channel.with_open_bin tmp (fun oc ->
-      Out_channel.output_string oc (Sexp.to_string doc);
-      Out_channel.output_char oc '\n');
+  let head = header stage in
+  (try
+     Out_channel.with_open_bin tmp (fun oc ->
+         Out_channel.output_string oc head;
+         Out_channel.output_string oc (String.make digits '0');
+         Out_channel.output_string oc after_digits;
+         let w =
+           {
+             oc;
+             buf = Buffer.create (2 * chunk_size);
+             chunk = Bytes.create chunk_size;
+             sum = fnv_offset;
+           }
+         in
+         payload w;
+         drain w;
+         Out_channel.output_string oc trailer;
+         Out_channel.seek oc (Int64.of_int (String.length head));
+         Out_channel.output_string oc (hex_digest w.sum))
+   with e ->
+     (try Sys.remove tmp with Sys_error _ -> ());
+     raise e);
   Sys.rename tmp file
 
+(* The payload's bytes are hashed as read, between the fixed-layout
+   header and trailer; only a file whose layout and checksum both hold
+   is parsed. *)
 let read_payload ~dir stage =
   let file = path ~dir stage in
-  if not (Sys.file_exists file) then None
-  else
-    let text =
-      try Some (In_channel.with_open_bin file In_channel.input_all)
-      with Sys_error _ -> None
-    in
-    match Option.map Sexp.of_string_opt text with
-    | Some
-        (Some
-           (Sexp.List
-              [
-                Sexp.Atom "checkpoint";
-                Sexp.List [ Sexp.Atom "version"; Sexp.Atom v ];
-                Sexp.List [ Sexp.Atom "stage"; Sexp.Atom s ];
-                Sexp.List [ Sexp.Atom "checksum"; Sexp.Atom sum ];
-                payload;
-              ]))
-      when v = string_of_int version
-           && s = stage_name stage
-           && String.equal sum (fnv1a64 (Sexp.to_string payload)) ->
-        Some payload
-    | _ -> None
+  match In_channel.with_open_bin file In_channel.input_all with
+  | exception Sys_error _ -> None
+  | text ->
+      let head = header stage in
+      let start = String.length head + digits + String.length after_digits in
+      let stop = String.length text - String.length trailer in
+      let at pos s =
+        String.equal (String.sub text pos (String.length s)) s
+      in
+      if
+        stop <= start
+        || (not (String.starts_with ~prefix:head text))
+        || (not (at (String.length head + digits) after_digits))
+        || not (at stop trailer)
+      then None
+      else
+        let sum =
+          fnv_fold fnv_offset
+            (Bytes.unsafe_of_string text)
+            start (stop - start)
+        in
+        if
+          not
+            (String.equal (hex_digest sum)
+               (String.sub text (String.length head) digits))
+        then None
+        else
+          match Sexp.of_substring text ~pos:start ~len:(stop - start) with
+          | payload -> Some payload
+          | exception Sexp.Parse_error _ -> None
 
 let decode payload f = try Some (f payload) with _ -> None
 
@@ -392,17 +520,15 @@ let write_ind ~dir db (r : Ind_discovery.result) =
     | None -> Table.create rel
   in
   write_file ~dir Ind
-    (tagged "ind"
+    (put_fields "ind"
        [
-         tagged "inds" (List.map sexp_of_ind r.Ind_discovery.inds);
-         tagged "new-relations"
-           (List.map
-              (fun rel -> sexp_of_table (table_of rel))
-              r.Ind_discovery.new_relations);
-         tagged "steps" (List.map sexp_of_ind_step r.Ind_discovery.steps);
-         tagged "unverified"
-           (List.map sexp_of_join r.Ind_discovery.unverified);
-         sexp_of_exhausted r.Ind_discovery.exhausted;
+         put_tagged "inds" put_ind r.Ind_discovery.inds;
+         put_tagged "new-relations"
+           (fun rel -> put_table (table_of rel))
+           r.Ind_discovery.new_relations;
+         put_tagged "steps" put_ind_step r.Ind_discovery.steps;
+         put_tagged "unverified" put_join r.Ind_discovery.unverified;
+         put_exhausted r.Ind_discovery.exhausted;
        ])
 
 let load_ind ~dir db =
@@ -428,10 +554,10 @@ let load_ind ~dir db =
 
 let write_lhs ~dir (r : Lhs_discovery.result) =
   write_file ~dir Lhs
-    (tagged "lhs"
+    (put_fields "lhs"
        [
-         tagged "lhs" (List.map sexp_of_attr r.Lhs_discovery.lhs);
-         tagged "hidden" (List.map sexp_of_attr r.Lhs_discovery.hidden);
+         put_tagged "lhs" put_attr r.Lhs_discovery.lhs;
+         put_tagged "hidden" put_attr r.Lhs_discovery.hidden;
        ])
 
 let load_lhs ~dir =
@@ -448,14 +574,13 @@ let load_lhs ~dir =
 
 let write_rhs ~dir (r : Rhs_discovery.result) =
   write_file ~dir Rhs
-    (tagged "rhs"
+    (put_fields "rhs"
        [
-         tagged "fds" (List.map sexp_of_fd r.Rhs_discovery.fds);
-         tagged "hidden" (List.map sexp_of_attr r.Rhs_discovery.hidden);
-         tagged "steps" (List.map sexp_of_rhs_step r.Rhs_discovery.steps);
-         tagged "unverified"
-           (List.map sexp_of_attr r.Rhs_discovery.unverified);
-         sexp_of_exhausted r.Rhs_discovery.exhausted;
+         put_tagged "fds" put_fd r.Rhs_discovery.fds;
+         put_tagged "hidden" put_attr r.Rhs_discovery.hidden;
+         put_tagged "steps" put_rhs_step r.Rhs_discovery.steps;
+         put_tagged "unverified" put_attr r.Rhs_discovery.unverified;
+         put_exhausted r.Rhs_discovery.exhausted;
        ])
 
 let load_rhs ~dir =
@@ -476,25 +601,21 @@ let load_rhs ~dir =
 let write_restruct ~dir (r : Restruct.result) =
   let database =
     match r.Restruct.database with
-    | None -> tagged "database" [ Sexp.Atom "none" ]
+    | None -> put_tagged "database" put_atom [ "none" ]
     | Some db ->
-        tagged "database"
-          (List.map
-             (fun rel ->
-               sexp_of_table (Database.table db rel.Relation.name))
-             (Schema.relations (Database.schema db)))
+        put_tagged "database"
+          (fun rel -> put_table (Database.table db rel.Relation.name))
+          (Schema.relations (Database.schema db))
   in
   write_file ~dir Restruct
-    (tagged "restruct"
+    (put_fields "restruct"
        [
-         tagged "schema"
-           (List.map sexp_of_relation (Schema.relations r.Restruct.schema));
-         tagged "inds" (List.map sexp_of_ind r.Restruct.inds);
-         tagged "ric" (List.map sexp_of_ind r.Restruct.ric);
-         tagged "renamings"
-           (List.map
-              (fun (a, name) -> Sexp.List [ sexp_of_attr a; Sexp.Atom name ])
-              r.Restruct.renamings);
+         put_tagged "schema" put_relation (Schema.relations r.Restruct.schema);
+         put_tagged "inds" put_ind r.Restruct.inds;
+         put_tagged "ric" put_ind r.Restruct.ric;
+         put_tagged "renamings"
+           (fun (a, name) -> put_list Fun.id [ put_attr a; put_atom name ])
+           r.Restruct.renamings;
          database;
        ])
 
@@ -535,13 +656,12 @@ let write_translate ~dir (r : Translate.result) =
      marker carrying a human-readable rendering. Resume recomputes
      Translate from the restruct checkpoint (cheap and deterministic). *)
   write_file ~dir Translate
-    (tagged "translate"
+    (put_fields "translate"
        [
-         tagged "entities"
-           (List.map
-              (fun (r, e) -> Sexp.List [ Sexp.Atom r; Sexp.Atom e ])
-              r.Translate.entity_of_relation);
-         tagged "eer" [ Sexp.Atom (Er.Text_render.to_string r.Translate.eer) ];
+         put_tagged "entities"
+           (fun (r, e) -> put_names [ r; e ])
+           r.Translate.entity_of_relation;
+         put_tagged "eer" put_atom [ Er.Text_render.to_string r.Translate.eer ];
        ])
 
 let translate_done ~dir = read_payload ~dir Translate <> None

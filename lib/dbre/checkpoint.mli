@@ -2,14 +2,22 @@
 
     Each stage serializes its output artifact to
     [<dir>/<n>-<stage>.ckpt] as a single s-expression wrapped in
-    [(checkpoint (version 2) (stage ...) (checksum ...) <payload>)].
-    The checksum is FNV-1a 64 over the canonical serialization of the
-    payload, verified on load against a re-serialization of the parsed
-    payload — a file truncated or edited into something still
-    parseable reads as corrupt. Writes are atomic (tmp file + rename);
-    loads return [None] on a missing, corrupt, checksum-mismatched or
-    version-mismatched file, so a resuming run silently recomputes the
-    stage instead of failing.
+    [(checkpoint (version 2) (stage ...) (checksum ...) <payload>)] and
+    a newline, in {!Relational.Sexp}'s canonical text (one space between
+    list items, atoms quoted only when they must be). The writer streams
+    the payload straight from the artifact — table rows from
+    {!Table.rows} — through one fixed-size chunk, folding the checksum
+    as it goes, then patches the fixed-width checksum digits in place:
+    no tree is built and the file is never held whole.
+
+    The checksum is FNV-1a 64 over the payload's bytes, hashed on load
+    exactly as read — a file truncated or edited into something still
+    parseable reads as corrupt. So does a file re-formatted by hand
+    (different whitespace or quoting), even when it parses to the same
+    tree: only the canonical layout verifies. Writes are atomic (tmp
+    file + rename); loads return [None] on a missing, corrupt,
+    checksum-mismatched, re-formatted or version-mismatched file, so a
+    resuming run silently recomputes the stage instead of failing.
 
     Partial artifacts: the Ind and Rhs payloads carry their result's
     [unverified]/[exhausted] fields, so a budget-tripped stage

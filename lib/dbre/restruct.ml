@@ -48,15 +48,18 @@ let run (oracle : Oracle.t) ?db ~schema ~fds ~hidden ~inds () =
   let inds = ref inds in
   let renamings = ref [] in
   let out_db = Option.map Database.copy_structure db in
-  (* copy original extensions into the output database *)
+  (* copy original extensions into the output database: every migrated
+     table is built whole from its tuple array (tuples are immutable,
+     so the source's array is shared, not copied) *)
   (match (db, out_db) with
   | Some src, Some dst ->
       List.iter
         (fun r ->
           let name = r.Relation.name in
-          Array.iter
-            (fun tup -> Table.insert_tuple (Database.table dst name) tup)
-            (Table.rows (Database.table src name)))
+          Database.replace_table dst
+            (Table.of_rows
+               (Table.schema (Database.table dst name))
+               (Table.rows (Database.table src name))))
         (Schema.relations (Database.schema src))
   | _ -> ());
   let add_relation rel rows =
@@ -65,7 +68,7 @@ let run (oracle : Oracle.t) ?db ~schema ~fds ~hidden ~inds () =
     | None -> ()
     | Some d ->
         Database.add_relation d rel;
-        List.iter (Database.insert d rel.Relation.name) rows
+        Database.replace_table d (Table.of_rows rel rows)
   in
   (* ---- hidden objects ---- *)
   List.iter
@@ -86,11 +89,13 @@ let run (oracle : Oracle.t) ?db ~schema ~fds ~hidden ~inds () =
       let rel = Relation.make ~domains ~uniques:[ attrs ] name attrs in
       let rows =
         match db with
-        | None -> []
+        | None -> [||]
         | Some d -> (
             match Database.table_opt d src_rel with
-            | Some t -> Table.project_distinct t attrs
-            | None -> [])
+            | Some t ->
+                Array.of_list
+                  (List.map Tuple.of_list (Table.project_distinct t attrs))
+            | None -> [||])
       in
       add_relation rel rows;
       renamings := (h, name) :: !renamings;
@@ -134,28 +139,29 @@ let run (oracle : Oracle.t) ?db ~schema ~fds ~hidden ~inds () =
           in
           let rows =
             match db with
-            | None -> []
+            | None -> [||]
             | Some d -> (
                 match Database.table_opt d fd.Fd.rel with
                 | Some t ->
-                    (* distinct projections with a non-null LHS: a null
-                       identifier denotes "no object" *)
+                    (* distinct projections with a non-null LHS, in
+                       first-occurrence order: a null identifier denotes
+                       "no object" *)
                     let lidx = Table.positions t fd.Fd.lhs in
                     let oidx = Table.positions t ordered in
                     let seen = Hashtbl.create 64 in
-                    Array.fold_left
-                      (fun acc tup ->
-                        if Tuple.has_null_at lidx tup then acc
-                        else
-                          let proj = Tuple.project_list oidx tup in
-                          if Hashtbl.mem seen proj then acc
-                          else begin
+                    let out = ref [] in
+                    Array.iter
+                      (fun tup ->
+                        if not (Tuple.has_null_at lidx tup) then begin
+                          let proj = Tuple.project oidx tup in
+                          if not (Hashtbl.mem seen proj) then begin
                             Hashtbl.add seen proj ();
-                            proj :: acc
-                          end)
-                      [] (Table.rows t)
-                    |> List.rev
-                | None -> [])
+                            out := proj :: !out
+                          end
+                        end)
+                      (Table.rows t);
+                    Array.of_list (List.rev !out)
+                | None -> [||])
           in
           add_relation rel rows;
           renamings := (Attribute.make fd.Fd.rel fd.Fd.lhs, name) :: !renamings;
@@ -167,12 +173,11 @@ let run (oracle : Oracle.t) ?db ~schema ~fds ~hidden ~inds () =
           | Some d ->
               let old_table = Database.table d fd.Fd.rel in
               let keep_idx = Table.positions old_table shrunk.Relation.attrs in
-              let new_table = Table.create shrunk in
-              Array.iter
-                (fun tup -> Table.insert_tuple new_table (Tuple.project keep_idx tup))
-                (Table.rows old_table);
               (* swap the table in place by re-adding *)
-              Database.replace_table d new_table);
+              Database.replace_table d
+                (Table.of_rows shrunk
+                   (Array.map (Tuple.project keep_idx)
+                      (Table.rows old_table))));
           (* rewrite INDs: A_i occurrences exactly, B_i subsets *)
           inds :=
             rewrite_inds ~rel:fd.Fd.rel ~moved:fd.Fd.lhs ~new_rel:name

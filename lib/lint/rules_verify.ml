@@ -156,9 +156,11 @@ let check_result r = l201 r @ l202 r @ l203 r @ l204 r @ l205 r @ l206 r
    precise typed error if the disagreement is real. *)
 
 (* width of the first CSV record, when it can be read cheaply and
-   unambiguously: None for readers (probing consumes them), missing
-   files, empty documents, or records using quotes (a quoted comma
-   would make the naive count wrong) *)
+   unambiguously: None for readers and for CSV paths that are not
+   regular files (probing consumes them: reading a named pipe's first
+   line would steal it from the loader, and opening one blocks until a
+   writer appears), missing files, empty documents, or records using
+   quotes (a quoted comma would make the naive count wrong) *)
 let first_record_width (source : Source.t) =
   let width_of_text text =
     let line =
@@ -182,15 +184,18 @@ let first_record_width (source : Source.t) =
   match source with
   | Source.Csv_inline text -> width_of_text text
   | Source.Csv_file path -> (
-      match open_in_bin path with
-      | exception Sys_error _ -> None
-      | ic ->
-          Fun.protect
-            ~finally:(fun () -> close_in_noerr ic)
-            (fun () ->
-              match input_line ic with
-              | line -> width_of_text line
-              | exception End_of_file -> None))
+      match Sys.is_regular_file path with
+      | false | (exception Sys_error _) -> None
+      | true -> (
+          match open_in_bin path with
+          | exception Sys_error _ -> None
+          | ic ->
+              Fun.protect
+                ~finally:(fun () -> close_in_noerr ic)
+                (fun () ->
+                  match input_line ic with
+                  | line -> width_of_text line
+                  | exception End_of_file -> None)))
   | Source.In_memory _ | Source.Reader _ -> None
 
 let check_job (spec : Dbre.Job_spec.t) =

@@ -34,6 +34,21 @@ let create_deferred schema ~size produce =
   { schema; source = Deferred produce; size; cache = None; version = 0;
     ext = None; log = []; log_rows = 0; log_base = 0 }
 
+(* Built whole, like a deferred table already forced: one array, no
+   per-row version bump or delta-log entry. *)
+let of_rows schema tups =
+  let arity = Relation.arity schema in
+  Array.iter
+    (fun tup ->
+      if Array.length tup <> arity then
+        invalid_arg
+          (Printf.sprintf "Table.of_rows(%s): arity mismatch (%d, expected %d)"
+             schema.Relation.name (Array.length tup) arity))
+    tups;
+  { schema; source = Deferred (fun () -> tups); size = Array.length tups;
+    cache = Some tups; version = 0; ext = None; log = []; log_rows = 0;
+    log_base = 0 }
+
 let schema t = t.schema
 let cardinality t = t.size
 let version t = t.version

@@ -39,6 +39,14 @@ val create_deferred : Relation.t -> size:int -> (unit -> Tuple.t array) -> t
     {!insert} materializes the backing and behaves as usual from then
     on. *)
 
+val of_rows : Relation.t -> Tuple.t array -> t
+(** A table holding exactly these tuples, in this order, at version 0
+    with an empty mutation log — the bulk constructor for a table built
+    whole (a migrated relation, a checkpointed extension) rather than
+    grown by {!insert}. The table takes the array: the caller must not
+    modify it afterwards. Raises [Invalid_argument] on a tuple whose
+    arity differs from the relation's. *)
+
 val materialized : t -> bool
 (** Has the tuple array been built (or was this table list-backed from
     the start)? [false] exactly while a deferred backing is still

@@ -224,14 +224,66 @@ let test_cancel_queued_job () =
       Alcotest.(check int) "no artifacts" 0 (List.length artifacts)
   | Error (code, msg) -> Alcotest.failf "artifacts: %s: %s" code msg
 
+(* The write end of a named pipe, once the reader has opened it:
+   non-blocking opens fail with ENXIO until then. Bounded, so a runner
+   that never opens the pipe fails the test instead of hanging it. *)
+let open_fifo_writer path =
+  let deadline = Unix.gettimeofday () +. 30. in
+  let rec go () =
+    match Unix.openfile path [ Unix.O_WRONLY; Unix.O_NONBLOCK ] 0 with
+    | fd ->
+        Unix.clear_nonblock fd;
+        fd
+    | exception Unix.Unix_error (Unix.ENXIO, _, _)
+      when Unix.gettimeofday () < deadline ->
+        Thread.delay 0.005;
+        go ()
+  in
+  go ()
+
 let test_cancel_running_job () =
-  (* a big extension keeps the job in its load/discovery stages long
-     enough to cancel it mid-run: the supervision token trips and the
-     job settles as cancelled, not done *)
-  let s = spec ~label:"doomed" ~rows:120_000 ~deps:40 () in
+  (* the job's first source is a named pipe that stays empty until the
+     cancel has been acknowledged, so the job is provably still loading
+     when the cancel lands: the supervision token trips and the job
+     settles as cancelled, not done *)
+  let fifo =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "dbre_cancel_%d.csv" (Unix.getpid ()))
+  in
+  (try Sys.remove fifo with Sys_error _ -> ());
+  Unix.mkfifo fifo 0o600;
+  Fun.protect ~finally:(fun () -> try Sys.remove fifo with Sys_error _ -> ())
+  @@ fun () ->
+  let s =
+    Job_spec.make ~label:"doomed"
+      ~sources:
+        [
+          ("Emp", Source.csv_file fifo);
+          ("Dept", Source.csv_inline (dept_csv ~deps:4 ()));
+        ]
+      ~ddl
+      (Job_spec.Sql_scripts [ script ])
+  in
   with_server ~max_jobs:1 @@ fun server ->
   with_client server @@ fun c ->
   let id, _ = submit_exn c s in
+  (* the runner may already have dropped the pipe on observing the trip
+     (EPIPE: the daemon ignores SIGPIPE). Fed at the latest on the way
+     out, so a failing check cannot leave the runner blocked on the
+     pipe and the server's stop waiting on the runner. *)
+  let fed = ref false in
+  let feed () =
+    if not !fed then begin
+      fed := true;
+      let fd = open_fifo_writer fifo in
+      let text = emp_csv ~deps:4 () in
+      (try ignore (Unix.write_substring fd text 0 (String.length text))
+       with Unix.Unix_error (Unix.EPIPE, _, _) -> ());
+      Unix.close fd
+    end
+  in
+  Fun.protect ~finally:feed @@ fun () ->
   (* wait for the first event: the job is now running *)
   (match Client.watch c id with
   | Ok _ -> ()
@@ -239,6 +291,8 @@ let test_cancel_running_job () =
   (match Client.cancel c id with
   | Ok _ -> ()
   | Error (code, msg) -> Alcotest.failf "cancel: %s: %s" code msg);
+  (* only now does the extension arrive *)
+  feed ();
   let state, _ = wait_exn c id in
   Alcotest.(check string) "settles as cancelled" "cancelled" state
 

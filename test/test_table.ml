@@ -26,6 +26,25 @@ let test_rows_cache () =
   Alcotest.(check int) "cache invalidated" 5 (Array.length (Table.rows t));
   Alcotest.(check value) "insertion order" (vi 1) (Table.rows t).(0).(0)
 
+let test_of_rows () =
+  let rel = Relation.make "T" [ "id"; "city" ] in
+  let tups = [| [| vi 1; vs "lyon" |]; [| vi 2; vs "paris" |] |] in
+  let t = Table.of_rows rel tups in
+  Alcotest.(check int) "cardinality" 2 (Table.cardinality t);
+  Alcotest.(check bool) "materialized, the array itself" true
+    (Table.materialized t && Table.rows t == tups);
+  Alcotest.(check int) "built whole: version 0" 0 (Table.version t);
+  Alcotest.(check bool) "empty mutation log" true
+    (Table.deltas_since t 0 = Some []);
+  (* it mutates like any other table from there on *)
+  Table.insert t [ vi 3; vs "nice" ];
+  Alcotest.(check int) "one bump" 1 (Table.version t);
+  Alcotest.(check value) "appended last" (vi 3) (Table.rows t).(2).(0);
+  Alcotest.(check value) "order kept" (vi 1) (Table.rows t).(0).(0);
+  Alcotest.check_raises "arity checked"
+    (Invalid_argument "Table.of_rows(T): arity mismatch (1, expected 2)")
+    (fun () -> ignore (Table.of_rows rel [| [| vi 1 |] |]))
+
 let test_count_distinct () =
   let t = sample () in
   Alcotest.(check int) "distinct ids" 4 (Table.count_distinct t [ "id" ]);
@@ -99,6 +118,7 @@ let suite =
   [
     Alcotest.test_case "insert and arity" `Quick test_insert_arity;
     Alcotest.test_case "row cache" `Quick test_rows_cache;
+    Alcotest.test_case "bulk of_rows" `Quick test_of_rows;
     Alcotest.test_case "count distinct" `Quick test_count_distinct;
     Alcotest.test_case "project distinct" `Quick test_project_distinct;
     Alcotest.test_case "equijoin distinct count" `Quick test_equijoin_count;
