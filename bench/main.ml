@@ -78,20 +78,17 @@ let check_targets () =
   end
   else false
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 32 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let record_json (section, metric, value, unit_, target) =
+  Json.Obj
+    ([
+       ("section", Json.String section);
+       ("metric", Json.String metric);
+       ("value", Json.Float value);  (* NaN prints as null *)
+       ("unit", Json.String unit_);
+     ]
+    @ match target with Some t -> [ ("target", Json.Float t) ] | None -> [])
 
+(* one record per line *)
 let write_json_files () =
   let sections =
     List.sort_uniq String.compare
@@ -102,28 +99,15 @@ let write_json_files () =
       let rows =
         List.filter (fun (s', _, _, _, _) -> s' = s) (List.rev !json_records)
       in
-      let buf = Buffer.create 1024 in
-      Buffer.add_string buf "[\n";
-      List.iteri
-        (fun i (_, metric, value, unit_, target) ->
-          if i > 0 then Buffer.add_string buf ",\n";
-          Buffer.add_string buf
-            (Printf.sprintf
-               "  {\"section\": \"%s\", \"metric\": \"%s\", \"value\": %s, \
-                \"unit\": \"%s\"%s}"
-               (json_escape s) (json_escape metric)
-               (if Float.is_nan value then "null"
-                else Printf.sprintf "%.6g" value)
-               (json_escape unit_)
-               (match target with
-               | Some t -> Printf.sprintf ", \"target\": %.6g" t
-               | None -> "")))
-        rows;
-      Buffer.add_string buf "\n]\n";
       let file = Printf.sprintf "BENCH_%s.json" s in
-      let oc = open_out file in
-      output_string oc (Buffer.contents buf);
-      close_out oc;
+      Out_channel.with_open_text file (fun oc ->
+          output_string oc "[\n";
+          List.iteri
+            (fun i r ->
+              if i > 0 then output_string oc ",\n";
+              output_string oc (Json.to_string (record_json r)))
+            rows;
+          output_string oc "\n]\n");
       Printf.printf "wrote %s (%d records)\n%!" file (List.length rows))
     sections
 
@@ -1273,6 +1257,51 @@ let b14 () =
   record ?target:(full_target 2.0) "heap/reduction"
     (float_of_int l_top /. float_of_int s_top)
     "x";
+
+  (* allocation: Int and String columns over at most 100 distinct
+     values each, so all but a few hundred cells are dictionary hits.
+     A hit is typed and interned straight from the scanned bytes and
+     must allocate nothing; what remains is per-load set-up and
+     first-sight entries, spread over the cells. Minor words are
+     deterministic, so the < 1 word/cell ceiling is gated in every
+     mode (a path copying each field pays >= 3). *)
+  let hits_rel =
+    Relation.make "hits"
+      ~domains:
+        [
+          ("k", Domain.Int); ("n", Domain.Int); ("s", Domain.String);
+          ("t", Domain.String);
+        ]
+      [ "k"; "n"; "s"; "t" ]
+  in
+  let hits_rows = if !smoke then 25_000 else 250_000 in
+  let hits_csv =
+    let buf = Buffer.create (hits_rows * 24) in
+    Buffer.add_string buf "k,n,s,t\n";
+    for i = 0 to hits_rows - 1 do
+      Buffer.add_string buf
+        (Printf.sprintf "%d,%d,tag-%d,v%d\n" (i mod 100)
+           ((i * 7 mod 97) - 48)
+           (i * 13 mod 100)
+           (i * 31 mod 89))
+    done;
+    Buffer.contents buf
+  in
+  let words_per_cell =
+    let before = Gc.minor_words () in
+    (match Csv.load hits_rel hits_csv with
+    | Ok (t, _) -> ignore (Sys.opaque_identity t)
+    | Stdlib.Error e -> failwith (Error.to_string e));
+    (Gc.minor_words () -. before) /. float_of_int (hits_rows * 4)
+  in
+  Printf.printf
+    "  minor words per cell, %d rows over <= 100 values per column: %.3f \
+     (target: < 1)\n%!"
+    hits_rows words_per_cell;
+  record "alloc/minor-words-per-cell" words_per_cell "words";
+  record ~target:1.0 "alloc/hits-allocation-free"
+    (if words_per_cell < 1.0 then 1.0 else 0.0)
+    "bool";
 
   (* identity: on a dirty document (ill-typed cells, wrong-width rows),
      the strict error and the quarantine outcome (surviving extension +

@@ -2044,17 +2044,23 @@ module Builder = struct
     v.data.(v.len) <- x;
     v.len <- v.len + 1
 
-  (* Flat open-addressing intern table. Same key semantics as the
-     polymorphic hashtable [encode] uses — [compare _ _ = 0] for
-     identity — so a finished builder's dictionaries are
-     indistinguishable from a post-hoc encode of the same rows; but
-     probing flat arrays allocates nothing per lookup, which matters
-     when every cell of a bulk load passes through.
+  (* Flat open-addressing intern tables, one per column, partitioned by
+     constructor. Cross-constructor values never compare equal, so the
+     partition cannot change identity, and each side keys its values
+     the way a bulk load hands them over:
 
-     [Value.Int] keys (the shape of key-like columns, where nearly
-     every cell misses) get their own unboxed side table: no box to
-     hash or chase on a probe. Cross-constructor values never compare
-     equal, so partitioning by constructor cannot change identity. *)
+     - the Int side is unboxed: slots keyed directly by the integer, so
+       a key-like column's probe hashes and chases no box;
+     - the String side is keyed by bytes: it hashes and compares a
+       slice of the scanned input, so a hit allocates nothing and the
+       key string and its [Value.String] are built only on first sight;
+     - everything else (Float, Date, Bool, [Int min_int]) goes through
+       the boxed side, with the [compare _ _ = 0] identity of the
+       polymorphic hashtable [encode] uses.
+
+     Every side agrees with that polymorphic identity, so a finished
+     builder's dictionaries are indistinguishable from a post-hoc encode
+     of the same rows. *)
   type vtab = {
     mutable v_cap : int;  (* power of two *)
     mutable v_size : int;
@@ -2064,6 +2070,11 @@ module Builder = struct
     mutable n_cap : int;  (* the Value.Int side, unboxed *)
     mutable n_size : int;
     mutable n_tab : int array;  (* interleaved [key; code] pairs *)
+    mutable s_cap : int;  (* the Value.String side, keyed by bytes *)
+    mutable s_size : int;
+    mutable s_hs : int array;  (* 0 = empty slot, else [hash lor 1] *)
+    mutable s_keys : string array;
+    mutable s_codes : int array;
   }
 
   (* the int side keys slots directly by value; [min_int] marks an
@@ -2081,6 +2092,11 @@ module Builder = struct
       n_cap = 256;
       n_size = 0;
       n_tab = ntab_make 256;
+      s_cap = 256;
+      s_size = 0;
+      s_hs = Array.make 256 0;
+      s_keys = Array.make 256 "";
+      s_codes = Array.make 256 0;
     }
 
   (* Placement only, never identity. Low bits pass through so runs of
@@ -2131,29 +2147,84 @@ module Builder = struct
     done;
     !i
 
-  (* quadruple once the table is clearly high-cardinality: rehashing is
-     the dominant interning cost for key-like columns, and fewer, larger
-     steps move each entry O(1) times instead of O(log n) *)
-  let vtab_grow t =
-    let old_hs = t.v_hs and old_keys = t.v_keys and old_codes = t.v_codes in
-    let cap = t.v_cap * if t.v_cap >= 65536 then 4 else 2 in
-    t.v_cap <- cap;
-    t.v_hs <- Array.make cap 0;
-    t.v_keys <- Array.make cap Value.Null;
-    t.v_codes <- Array.make cap 0;
+  (* the next table size when a side fills: quadruple once the table is
+     clearly high-cardinality. Rehashing is the dominant interning cost
+     for key-like columns, and fewer, larger steps move each entry O(1)
+     times instead of O(log n). *)
+  let grown cap = cap * if cap >= 65536 then 4 else 2
+
+  (* reinsert [hs]/[keys]/[codes] entries into fresh arrays of [cap]
+     slots (the stored hash is the placement) *)
+  let rehash ~cap hs keys codes ~empty_key =
+    let hs' = Array.make cap 0 and keys' = Array.make cap empty_key in
+    let codes' = Array.make cap 0 in
     let mask = cap - 1 in
     Array.iteri
       (fun j h ->
         if h <> 0 then begin
           let i = ref (h land mask) in
-          while t.v_hs.(!i) <> 0 do
+          while hs'.(!i) <> 0 do
             i := (!i + 1) land mask
           done;
-          t.v_hs.(!i) <- h;
-          t.v_keys.(!i) <- old_keys.(j);
-          t.v_codes.(!i) <- old_codes.(j)
+          hs'.(!i) <- h;
+          keys'.(!i) <- keys.(j);
+          codes'.(!i) <- codes.(j)
         end)
-      old_hs
+      hs;
+    (hs', keys', codes')
+
+  let vtab_grow t =
+    let cap = grown t.v_cap in
+    let hs, keys, codes =
+      rehash ~cap t.v_hs t.v_keys t.v_codes ~empty_key:Value.Null
+    in
+    t.v_cap <- cap;
+    t.v_hs <- hs;
+    t.v_keys <- keys;
+    t.v_codes <- codes
+
+  (* FNV-1a over [s.[off] .. s.[off+len-1]]: placement on the String
+     side; identity is always a byte comparison *)
+  let hash_sub s off len =
+    let h = ref 0x811c9dc5 in
+    for i = off to off + len - 1 do
+      h := (!h lxor Char.code (String.unsafe_get s i)) * 0x01000193
+    done;
+    (!h land max_int) lor 1
+
+  let sub_equal key s off len =
+    String.length key = len
+    &&
+    let i = ref 0 in
+    while
+      !i < len
+      && Char.equal (String.unsafe_get key !i) (String.unsafe_get s (off + !i))
+    do
+      incr i
+    done;
+    !i = len
+
+  let stab_slot t h s off len =
+    let mask = t.s_cap - 1 in
+    let i = ref (h land mask) in
+    while
+      let h' = Array.unsafe_get t.s_hs !i in
+      h' <> 0
+      && not (h' = h && sub_equal (Array.unsafe_get t.s_keys !i) s off len)
+    do
+      i := (!i + 1) land mask
+    done;
+    !i
+
+  let stab_grow t =
+    let cap = grown t.s_cap in
+    let hs, keys, codes =
+      rehash ~cap t.s_hs t.s_keys t.s_codes ~empty_key:""
+    in
+    t.s_cap <- cap;
+    t.s_hs <- hs;
+    t.s_keys <- keys;
+    t.s_codes <- codes
 
   (* growable dictionary in code order; slot 0 is the NULL code *)
   type dvec = { mutable ddata : Value.t array; mutable dlen : int }
@@ -2204,51 +2275,91 @@ module Builder = struct
 
   let rows b = b.b_rows
 
+  let next_code b pos v =
+    let c = b.b_next.(pos) in
+    b.b_next.(pos) <- c + 1;
+    dvec_push b.b_dict.(pos) v;
+    c
+
+  let boxed_intern b pos v =
+    let t = b.b_intern.(pos) in
+    let h = Hashtbl.hash v lor 1 in
+    let i = vtab_slot t h v in
+    if t.v_hs.(i) <> 0 then t.v_codes.(i)
+    else begin
+      let i =
+        if (t.v_size + 1) * 2 > t.v_cap then begin
+          vtab_grow t;
+          vtab_slot t h v
+        end
+        else i
+      in
+      let c = next_code b pos v in
+      t.v_hs.(i) <- h;
+      t.v_keys.(i) <- v;
+      t.v_codes.(i) <- c;
+      t.v_size <- t.v_size + 1;
+      c
+    end
+
+  let intern_int b pos n =
+    if n = min_int then boxed_intern b pos (Value.Int n)
+    else
+      let t = b.b_intern.(pos) in
+      let i = ntab_slot t n in
+      if t.n_tab.(2 * i) <> min_int then t.n_tab.((2 * i) + 1)
+      else begin
+        let i =
+          if (t.n_size + 1) * 2 > t.n_cap then begin
+            ntab_grow t;
+            ntab_slot t n
+          end
+          else i
+        in
+        let c = next_code b pos (Value.Int n) in
+        t.n_tab.(2 * i) <- n;
+        t.n_tab.((2 * i) + 1) <- c;
+        t.n_size <- t.n_size + 1;
+        c
+      end
+
+  (* insert [key] (whose value is [v]) after a miss at slot [i] *)
+  let stab_insert b pos h i key v =
+    let t = b.b_intern.(pos) in
+    let i =
+      if (t.s_size + 1) * 2 > t.s_cap then begin
+        stab_grow t;
+        stab_slot t h key 0 (String.length key)
+      end
+      else i
+    in
+    let c = next_code b pos v in
+    t.s_hs.(i) <- h;
+    t.s_keys.(i) <- key;
+    t.s_codes.(i) <- c;
+    t.s_size <- t.s_size + 1;
+    c
+
+  let intern_sub b pos s off len =
+    if off < 0 || len < 0 || off > String.length s - len then
+      invalid_arg "Column_store.Builder.intern_sub";
+    let t = b.b_intern.(pos) and h = hash_sub s off len in
+    let i = stab_slot t h s off len in
+    if t.s_hs.(i) <> 0 then t.s_codes.(i)
+    else
+      let key = String.sub s off len in
+      stab_insert b pos h i key (Value.String key)
+
   let intern b pos v =
     match v with
     | Value.Null -> 0
-    | Value.Int n when n <> min_int ->
-        let t = b.b_intern.(pos) in
-        let i = ntab_slot t n in
-        if t.n_tab.(2 * i) <> min_int then t.n_tab.((2 * i) + 1)
-        else begin
-          let c = b.b_next.(pos) in
-          b.b_next.(pos) <- c + 1;
-          let i =
-            if (t.n_size + 1) * 2 > t.n_cap then begin
-              ntab_grow t;
-              ntab_slot t n
-            end
-            else i
-          in
-          t.n_tab.(2 * i) <- n;
-          t.n_tab.((2 * i) + 1) <- c;
-          t.n_size <- t.n_size + 1;
-          dvec_push b.b_dict.(pos) v;
-          c
-        end
-    | _ ->
-        let t = b.b_intern.(pos) in
-        let h = Hashtbl.hash v lor 1 in
-        let i = vtab_slot t h v in
-        if t.v_hs.(i) <> 0 then t.v_codes.(i)
-        else begin
-          let c = b.b_next.(pos) in
-          b.b_next.(pos) <- c + 1;
-          let i =
-            if (t.v_size + 1) * 2 > t.v_cap then begin
-              vtab_grow t;
-              vtab_slot t h v
-            end
-            else i
-          in
-          t.v_hs.(i) <- h;
-          t.v_keys.(i) <- v;
-          t.v_codes.(i) <- c;
-          t.v_size <- t.v_size + 1;
-          dvec_push b.b_dict.(pos) v;
-          c
-        end
+    | Value.Int n -> intern_int b pos n
+    | Value.String s ->
+        let len = String.length s in
+        let t = b.b_intern.(pos) and h = hash_sub s 0 len in
+        let i = stab_slot t h s 0 len in
+        if t.s_hs.(i) <> 0 then t.s_codes.(i) else stab_insert b pos h i s v
+    | _ -> boxed_intern b pos v
 
   (* every column has exactly [b_seg_rows] pending codes: seal all of
      them at once so the finished segments stay row-aligned across the

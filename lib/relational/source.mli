@@ -33,7 +33,8 @@ type t =
       name : string;  (** for [describe] and error messages *)
       connect : unit -> unit -> string option;
           (** [connect ()] opens a fresh chunk stream; the inner
-              function yields chunks until [None] (EOF). Each [load]
+              function yields chunks until [None] (EOF); a chunk must
+              never be mutated once yielded. Each [load]
               calls [connect] once, so a source can be loaded more
               than once if its [connect] supports it. *)
     }

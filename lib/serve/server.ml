@@ -215,15 +215,21 @@ let effective_spec t entry =
       }
   | _ -> entry.spec
 
+(* A run that returned complete artifacts is done, even if a cancel
+   landed after its last poll; an error is the cancel's doing only
+   when a cancel had tripped the token. *)
+let settled_state ~cancel_requested ~succeeded =
+  if succeeded then Done else if cancel_requested then Cancelled else Failed
+
 let settle_result t entry result =
-  match result with
+  (match result with
   | Ok result ->
       entry.artifacts <- Dbre.Report.artifacts result;
-      entry.error <- Json.Null;
-      settle t entry (if entry.cancel_requested then Cancelled else Done)
-  | Error partial ->
-      entry.error <- error_json partial.Dbre.Pipeline.p_error;
-      settle t entry (if entry.cancel_requested then Cancelled else Failed)
+      entry.error <- Json.Null
+  | Error partial -> entry.error <- error_json partial.Dbre.Pipeline.p_error);
+  settle t entry
+    (settled_state ~cancel_requested:entry.cancel_requested
+       ~succeeded:(Result.is_ok result))
 
 let run_entry t entry =
   locked t (fun () ->
@@ -235,7 +241,9 @@ let run_entry t entry =
     match Dbre.Job.database ~supervise:entry.supervise ~progress spec with
     | Error e ->
         entry.error <- error_json e;
-        settle t entry (if entry.cancel_requested then Cancelled else Failed)
+        settle t entry
+          (settled_state ~cancel_requested:entry.cancel_requested
+             ~succeeded:false)
     | Ok (db, quarantine) ->
         (* retain the loaded database: mutate / refresh re-verify it
            in place instead of reloading *)

@@ -42,6 +42,17 @@
 
 type t
 
+type job_state = Queued | Running | Done | Failed | Cancelled
+
+val state_to_string : job_state -> string
+(** The wire name: [queued], [running], [done], [failed], [cancelled]. *)
+
+val settled_state : cancel_requested:bool -> succeeded:bool -> job_state
+(** How a run settles: [Done] whenever the runner returned a result
+    (a cancel that landed after the run's last poll does not discard
+    complete artifacts), [Cancelled] when it returned an error after a
+    cancel tripped its token, [Failed] otherwise. *)
+
 val create :
   ?max_jobs:int -> ?state_dir:string -> socket:string -> unit -> t
 (** [max_jobs] (default 2) runner threads; [max_jobs = 0] accepts and

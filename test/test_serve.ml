@@ -296,6 +296,24 @@ let test_cancel_running_job () =
   let state, _ = wait_exn c id in
   Alcotest.(check string) "settles as cancelled" "cancelled" state
 
+let test_settled_state_table () =
+  (* a result settles done even under a late cancel; only an error
+     after a cancel settles as cancelled *)
+  List.iter
+    (fun (cancel_requested, succeeded, want) ->
+      Alcotest.(check string)
+        (Printf.sprintf "cancel_requested=%b succeeded=%b" cancel_requested
+           succeeded)
+        want
+        (Server.state_to_string
+           (Server.settled_state ~cancel_requested ~succeeded)))
+    [
+      (false, true, "done");
+      (true, true, "done");
+      (false, false, "failed");
+      (true, false, "cancelled");
+    ]
+
 let test_budget_trip_is_typed () =
   (* a fuel'd spec with a fail-on-exhausted budget trips mid-run: the
      daemon reports the typed resource-exhausted error over the wire *)
@@ -615,6 +633,7 @@ let suite =
       test_concurrent_jobs_byte_identical;
     Alcotest.test_case "cancel a queued job" `Quick test_cancel_queued_job;
     Alcotest.test_case "cancel a running job" `Quick test_cancel_running_job;
+    Alcotest.test_case "settlement table" `Quick test_settled_state_table;
     Alcotest.test_case "budget trip is typed over the wire" `Quick
       test_budget_trip_is_typed;
     Alcotest.test_case "malformed frames get typed errors" `Quick
