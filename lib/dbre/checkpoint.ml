@@ -247,23 +247,43 @@ let relation_of_sexp = function
       Relation.make ~domains ~uniques ~not_nulls name attrs
   | _ -> corrupt "bad relation"
 
-(* Rows go straight from the tuple array into the buffer, one chunk
-   spilled at a time. *)
+(* Rows go straight into the buffer, one chunk spilled at a time: from
+   the tuple array when the table holds one, else as codes read segment
+   by segment from its column store, so an unmaterialized table (a
+   CSV-loaded input, a migrated relation) stays unmaterialized. *)
 let put_table t w =
   str w "(table ";
   put_relation (Table.schema t) w;
   str w " (rows";
-  let rows = Table.rows t in
-  for i = 0 to Array.length rows - 1 do
-    let row = rows.(i) in
-    str w " (";
-    for j = 0 to Array.length row - 1 do
-      if j > 0 then char w ' ';
-      put_value row.(j) w
-    done;
+  let row_end () =
     char w ')';
     spill w
-  done;
+  in
+  if Table.materialized t then
+    Array.iter
+      (fun row ->
+        str w " (";
+        for j = 0 to Array.length row - 1 do
+          if j > 0 then char w ' ';
+          put_value row.(j) w
+        done;
+        row_end ())
+      (Table.rows t)
+  else begin
+    let s = Column_store.of_table t in
+    let attrs = (Table.schema t).Relation.attrs in
+    let dicts =
+      Array.of_list
+        (List.map (fun a -> Column_store.(column_dict (column s a))) attrs)
+    in
+    Column_store.iter_codes s attrs (fun codes ->
+        str w " (";
+        for j = 0 to Array.length codes - 1 do
+          if j > 0 then char w ' ';
+          put_value dicts.(j).(codes.(j)) w
+        done;
+        row_end ())
+  end;
   str w "))"
 
 (* one tuple array per table, handed whole to {!Table.of_rows} *)

@@ -5,10 +5,14 @@
     [(checkpoint (version 2) (stage ...) (checksum ...) <payload>)] and
     a newline, in {!Relational.Sexp}'s canonical text (one space between
     list items, atoms quoted only when they must be). The writer streams
-    the payload straight from the artifact — table rows from
-    {!Table.rows} — through one fixed-size chunk, folding the checksum
-    as it goes, then patches the fixed-width checksum digits in place:
-    no tree is built and the file is never held whole.
+    the payload straight from the artifact through one fixed-size
+    chunk, folding the checksum as it goes, then patches the
+    fixed-width checksum digits in place: no tree is built and the file
+    is never held whole. Table rows come from {!Table.rows} when the
+    table holds a tuple array, and otherwise segment by segment from
+    its column store ({!Column_store.iter_codes}), so writing a
+    CSV-loaded input or a migrated relation never materializes it; the
+    bytes are the same either way.
 
     The checksum is FNV-1a 64 over the payload's bytes, hashed on load
     exactly as read — a file truncated or edited into something still

@@ -17,7 +17,22 @@
     hidden object with the distinct values of its source projection, an
     FD relation with the distinct [A_i ∪ B_i] projection) and [B_i]
     columns are physically dropped — so the output database matches the
-    output schema and the constraints can be re-verified on it. *)
+    output schema and the constraints can be re-verified on it.
+
+    The migration works on the input tables' column stores
+    ({!Column_store.of_table}), never on their tuple arrays: every
+    output table is a {!Column_store.derive} of one input store — all
+    rows with fewer columns for an untouched or shrunk relation
+    (projected once, to its final columns, however many splits narrowed
+    it), the first row of each distinct [A_i ∪ B_i] code tuple with a
+    non-NULL [A_i] for an FD relation ({!Column_store.distinct_rows}),
+    and one row per distinct value, in [Table.project_distinct] order,
+    for a hidden object ({!Column_store.project_distinct_rows}). Output
+    tables are unmaterialized, their stores fully encoded, and they share
+    no mutable state with the input: mutating either database later
+    never reaches the other. The rows, their order and the schemas are
+    exactly those of the row-at-a-time migration this replaced (kept as
+    the test oracle [Baselines.Restruct_rows]). *)
 
 open Relational
 open Deps

@@ -39,4 +39,6 @@ val run : ?db:Database.t -> schema:Schema.t -> Ind.t list -> result
     constraint's left relation — i.e. the entity participates in several
     relationship instances — and [One] otherwise. For a binary
     relationship the referencing side is always [One] (the foreign key is
-    single-valued). *)
+    single-valued). The test compares {!Column_store.count_distinct}
+    with {!Column_store.witness_count} on the table's memoized store, so
+    it reads no tuple array. *)

@@ -407,13 +407,17 @@ let uid t = t.uid
 (* encoding                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* segment a freshly encoded (or recompacted) code array: seal every
-   full [seg_rows] chunk, keep the remainder as the open tail *)
+(* segment a freshly encoded (or renumbered) code array: seal every
+   full [seg_rows] chunk, keep the remainder as the open tail. Takes
+   the array: with no full chunk it becomes the tail itself. *)
 let column_of_codes ~seg_rows codes dict nulls =
   let n = Array.length codes in
   let nseg = n / seg_rows in
   let segs = Array.init nseg (fun s -> seal_segment ~seg_rows codes (s * seg_rows)) in
-  let tail = Array.sub codes (nseg * seg_rows) (n - (nseg * seg_rows)) in
+  let tail =
+    if nseg = 0 then codes
+    else Array.sub codes (nseg * seg_rows) (n - (nseg * seg_rows))
+  in
   {
     segs;
     tail;
@@ -572,14 +576,24 @@ let distinct_set t attrs =
       Hashtbl.add t.witnesses attrs witnesses;
       set
 
+(* A single column answers both counts off its dictionary and NULL
+   tally, without building the distinct set (the same figures
+   [compute_distinct] returns for it while every dictionary code is
+   live). *)
 let witness_count t attrs =
-  match Hashtbl.find_opt t.witnesses attrs with
-  | Some n -> n
-  | None ->
+  match (Hashtbl.find_opt t.witnesses attrs, attrs) with
+  | Some n, _ -> n
+  | None, [ a ] -> t.n_rows - (column t a).nulls
+  | None, _ ->
       ignore (distinct_set t attrs);
       Hashtbl.find t.witnesses attrs
 
-let count_distinct t attrs = Hashtbl.length (distinct_set t attrs)
+let count_distinct t attrs =
+  match (Hashtbl.find_opt t.distinct_sets attrs, attrs) with
+  | Some set, _ -> Hashtbl.length set
+  | None, [ a ] when (column t a).tail_exact ->
+      Array.length (column t a).dict - 1
+  | None, _ -> Hashtbl.length (distinct_set t attrs)
 
 let project_distinct t attrs =
   Hashtbl.fold (fun k () acc -> k :: acc) (distinct_set t attrs) []
@@ -1303,11 +1317,13 @@ let sweep_fused_codes ?retain t lhs (positions : int array) =
    attribute by refinement sweeps, instead of [|rhs|] independent full
    scans. When every needed column is already encoded (Builder-loaded
    or warmed stores) the batch runs segment-by-segment over the packed
-   codes — no row materialization, zone-map pruning on cold stores;
-   otherwise the LHS collapses to a dense group-id array and the RHS
-   candidates are swept row-major over the raw values (fused into a
-   single early-exiting pass when sequential, one sweep per worker
-   under [pool]). Verdicts land by index, so the result order is the
+   codes — no row materialization, zone-map pruning on cold stores,
+   whatever the pool size (one early-exiting pass beats fanning
+   candidates out over a materialized row array). Otherwise the LHS
+   collapses to a dense group-id array and the RHS candidates are
+   swept row-major over the raw values (fused into a single
+   early-exiting pass when sequential, one sweep per worker under
+   [pool]). Verdicts land by index, so the result order is the
    submission order whatever the domain count. Fresh verdicts are
    memoized only from the submitting domain (the verdict table is not
    thread-safe). *)
@@ -1329,31 +1345,32 @@ let fd_batch ?pool t ~lhs ~rhs =
         if t.memoized then Some (Array.map (fun i -> rhs_arr.(i)) misses)
         else None
       in
+      let all_encoded =
+        List.for_all (fun a -> t.columns.(pos_of t a) <> None) lhs
+        && Array.for_all (fun p -> t.columns.(p) <> None) positions
+      in
       let res =
-        match pool with
-        | Some pool when Domain_pool.size pool > 1 && Array.length misses > 1
-          ->
-            (* force the row-array cache on the submitting domain;
-               workers only read it *)
-            let rows = Table.rows t.table in
-            let gid, n_groups = lhs_gid t lhs in
-            Domain_pool.map_array pool
-              (fun pos -> sweep_one rows gid n_groups pos)
-              positions
-        | _ ->
-            let all_encoded =
-              List.for_all (fun a -> t.columns.(pos_of t a) <> None) lhs
-              && Array.for_all (fun p -> t.columns.(p) <> None) positions
-            in
-            if all_encoded then
-              sweep_fused_codes ?retain:(retain_names ()) t lhs positions
-            else if Hashtbl.mem t.partitions lhs then
+        if all_encoded then
+          sweep_fused_codes ?retain:(retain_names ()) t lhs positions
+        else
+          match pool with
+          | Some pool
+            when Domain_pool.size pool > 1 && Array.length misses > 1 ->
+              (* force the row-array cache on the submitting domain;
+                 workers only read it *)
               let rows = Table.rows t.table in
               let gid, n_groups = lhs_gid t lhs in
-              sweep_all rows gid n_groups positions
-            else
-              let rows = Table.rows t.table in
-              sweep_fused ?retain:(retain_names ()) t lhs rows positions
+              Domain_pool.map_array pool
+                (fun pos -> sweep_one rows gid n_groups pos)
+                positions
+          | _ ->
+              if Hashtbl.mem t.partitions lhs then
+                let rows = Table.rows t.table in
+                let gid, n_groups = lhs_gid t lhs in
+                sweep_all rows gid n_groups positions
+              else
+                let rows = Table.rows t.table in
+                sweep_fused ?retain:(retain_names ()) t lhs rows positions
       in
       Array.iteri (fun k i -> verdicts.(i) <- res.(k)) misses;
       Array.iter
@@ -2030,6 +2047,224 @@ let refresh_all ?delta_fraction tables =
     (function None -> None | Some (_, _, outcome, _) -> Some outcome)
     items
 
+(* ------------------------------------------------------------------ *)
+(* derived tables: projections and row selections over codes           *)
+(* ------------------------------------------------------------------ *)
+
+(* A deferred table over [rel] whose memoized store already holds every
+   column: what a finished builder and a derived projection hand out.
+   Full-row materialization is the slow path by design: decode every
+   column once, then assemble. *)
+let table_of_columns rel ~seg_rows n (cols : column array) =
+  let produce () =
+    let mats = Array.map column_codes cols in
+    Array.init n (fun i ->
+        Array.mapi (fun p (c : column) -> c.dict.(mats.(p).(i))) cols)
+  in
+  let table = Table.create_deferred rel ~size:n produce in
+  let store = make_store ~seg_rows ~memoized:true table in
+  Array.iteri (fun p c -> store.columns.(p) <- Some c) cols;
+  Table.set_ext_cache table (Store store);
+  table
+
+let ascending rows =
+  let ok = ref true and i = ref 1 in
+  while !ok && !i < Array.length rows do
+    ok := rows.(!i - 1) < rows.(!i);
+    incr i
+  done;
+  !ok
+
+(* [col]'s codes at [rows], in that order. Reads ascend through the
+   segments, so each sealed segment is decoded at most once. *)
+let gather t (col : column) rows =
+  let read = code_reader t col in
+  let out = Array.make (Array.length rows) 0 in
+  if ascending rows then Array.iteri (fun i r -> out.(i) <- read r) rows
+  else begin
+    let order = Array.init (Array.length rows) Fun.id in
+    Array.stable_sort (fun a b -> Int.compare rows.(a) rows.(b)) order;
+    Array.iter (fun i -> out.(i) <- read rows.(i)) order
+  end;
+  out
+
+(* Renumber [codes] (over [dict]) densely in first-occurrence order, in
+   place, and seal the result: the column an [encode] of the same
+   values would produce, with no value hashed. *)
+let renumbered ~seg_rows codes (dict : Value.t array) =
+  let remap = Array.make (Array.length dict) 0 in
+  let firsts = Array.make (Array.length dict) 0 in
+  let next = ref 1 and nulls = ref 0 in
+  Array.iteri
+    (fun i c ->
+      if c = 0 then incr nulls
+      else begin
+        let m = remap.(c) in
+        if m > 0 then codes.(i) <- m
+        else begin
+          remap.(c) <- !next;
+          firsts.(!next) <- c;
+          codes.(i) <- !next;
+          incr next
+        end
+      end)
+    codes;
+  let dict' =
+    Array.init !next (fun k -> if k = 0 then Value.Null else dict.(firsts.(k)))
+  in
+  column_of_codes ~seg_rows codes dict' !nulls
+
+let derive ?rows t rel =
+  let cols = columns t rel.Relation.attrs in
+  let n = match rows with Some r -> Array.length r | None -> t.n_rows in
+  let fresh =
+    Array.map
+      (fun (c : column) ->
+        let codes =
+          match rows with
+          | Some r -> gather t c r
+          | None -> column_codes c
+        in
+        renumbered ~seg_rows:t.seg_rows codes c.dict)
+      cols
+  in
+  table_of_columns rel ~seg_rows:t.seg_rows n fresh
+
+(* Per-row id of the code tuple over [attrs] (equal ids exactly for
+   equal tuples, NULL = NULL), -1 on rows with a NULL in a [non_null]
+   attribute. Folded one column at a time: a row's new id stands for
+   the pair (previous id, code). A small pair space indexes a flat
+   table; otherwise each previous id remembers the code its first row
+   had and the id that pair got, so a column the previous ones
+   determine (an FD's RHS after its LHS) folds with no hashing, and
+   only the other pairs go through a hashtable. Returns the ids and
+   their count. *)
+let code_tuple_ids t ~non_null attrs =
+  let n = t.n_rows in
+  let ids = Array.make n 0 in
+  let card = ref 1 in
+  let fold a ~key_part =
+    let col = column t a in
+    let null_out = List.mem a non_null in
+    let width = Array.length col.dict in
+    let direct = !card * width <= max 65536 (4 * n) in
+    let table = if key_part && direct then Array.make (!card * width) (-1) else [||] in
+    let spread = key_part && not direct in
+    let first = if spread then Array.make !card (-1) else [||] in
+    let first_id = if spread then Array.make !card 0 else [||] in
+    let others = ref None in
+    let next = ref 0 in
+    let fresh () =
+      let g = !next in
+      incr next;
+      g
+    in
+    let pair id c =
+      if direct then begin
+        let k = (id * width) + c in
+        let g = table.(k) in
+        if g >= 0 then g
+        else begin
+          let g = fresh () in
+          table.(k) <- g;
+          g
+        end
+      end
+      else begin
+        let f = first.(id) in
+        if f = c then first_id.(id)
+        else if f < 0 then begin
+          let g = fresh () in
+          first.(id) <- c;
+          first_id.(id) <- g;
+          g
+        end
+        else begin
+          let others =
+            match !others with
+            | Some h -> h
+            | None ->
+                let h = Hashtbl.create 1024 in
+                others := Some h;
+                h
+          in
+          let key = (id * width) + c in
+          match Hashtbl.find_opt others key with
+          | Some g -> g
+          | None ->
+              let g = fresh () in
+              Hashtbl.add others key g;
+              g
+        end
+      end
+    in
+    iter_blocks t [| col |] (fun bufs len base ->
+        let buf = bufs.(0) in
+        for i = 0 to len - 1 do
+          let r = base + i in
+          let id = ids.(r) in
+          if id >= 0 then begin
+            let c = buf.(i) in
+            if null_out && c = 0 then ids.(r) <- -1
+            else if key_part then ids.(r) <- pair id c
+          end
+        done);
+    if key_part then card := !next
+  in
+  List.iter (fun a -> fold a ~key_part:true) attrs;
+  List.iter
+    (fun a -> if not (List.mem a attrs) then fold a ~key_part:false)
+    non_null;
+  (ids, !card)
+
+let distinct_rows t ~non_null attrs =
+  let ids, card = code_tuple_ids t ~non_null attrs in
+  let seen = Bytes.make card '\000' in
+  let out = ref [] in
+  Array.iteri
+    (fun r id ->
+      if id >= 0 && Bytes.get seen id = '\000' then begin
+        Bytes.set seen id '\001';
+        out := r :: !out
+      end)
+    ids;
+  Array.of_list (List.rev !out)
+
+(* [Table.project_distinct] folds a [Table.distinct_table] — a hashtable
+   sized by the cardinality and filled in row order — so its order is
+   the bucket layout: inserting just the distinct keys, in
+   first-occurrence order, into a table of the same size reproduces it. *)
+let project_distinct_rows t attrs =
+  let firsts = distinct_rows t ~non_null:attrs attrs in
+  let cols = columns t attrs in
+  let readers = Array.map (code_reader t) cols in
+  let keyed = Hashtbl.create (max 16 t.n_rows) in
+  Array.iter
+    (fun r ->
+      let key = ref [] in
+      for j = Array.length cols - 1 downto 0 do
+        key := cols.(j).dict.(readers.(j) r) :: !key
+      done;
+      Hashtbl.add keyed !key r)
+    firsts;
+  Array.of_list (Hashtbl.fold (fun _ r acc -> r :: acc) keyed [])
+
+let iter_codes t attrs f =
+  let cols = columns t attrs in
+  let row = Array.make (Array.length cols) 0 in
+  if Array.length cols = 0 then
+    for _ = 1 to t.n_rows do
+      f row
+    done
+  else
+    iter_blocks t cols (fun bufs len _base ->
+        for i = 0 to len - 1 do
+          for j = 0 to Array.length cols - 1 do
+            row.(j) <- bufs.(j).(i)
+          done;
+          f row
+        done)
+
 module Builder = struct
   type vec = { mutable data : int array; mutable len : int }
 
@@ -2458,19 +2693,7 @@ module Builder = struct
             vrange = None;
           })
     in
-    let n = b.b_rows in
-    (* full-row materialization is the slow path by design: decode
-       every column once, then assemble *)
-    let produce () =
-      let mats = Array.map column_codes cols in
-      Array.init n (fun i ->
-          Array.mapi (fun p (c : column) -> c.dict.(mats.(p).(i))) cols)
-    in
-    let table = Table.create_deferred b.b_rel ~size:n produce in
-    let store = make_store ~seg_rows:b.b_seg_rows ~memoized:true table in
-    Array.iteri (fun p c -> store.columns.(p) <- Some c) cols;
-    Table.set_ext_cache table (Store store);
-    table
+    table_of_columns b.b_rel ~seg_rows:b.b_seg_rows b.b_rows cols
 end
 
 

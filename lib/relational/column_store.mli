@@ -55,7 +55,9 @@ type column
 
 val column_codes : column -> int array
 (** Decoded flat per-row code array (0 is NULL), concatenating every
-    sealed segment and the tail. Allocates; test/oracle use only. *)
+    sealed segment and the tail: a fresh array of one int per row (no
+    value is touched). Oracles compare through it; {!derive} copies a
+    whole column through it before renumbering. *)
 
 val column_dict : column -> Value.t array
 (** code -> value; [dict.(0) = Null]. Do not mutate. *)
@@ -235,6 +237,43 @@ val residency : t -> residency
 (** Segment residency of this store's encoded columns, for
     [Engine.describe] and serve status. Does not touch payloads (a
     spilled segment stays spilled). *)
+
+(** {2 Derived tables}
+
+    Data migration (Restruct's §7 splits) builds every output table
+    from a source store's codes: a projection keeps some columns, a
+    selection keeps some rows, and each kept column's dictionary is
+    renumbered densely in first-occurrence order over the kept rows.
+    The result is exactly the store a {!Builder} fed those rows would
+    produce, but no value is re-interned and no tuple is allocated. *)
+
+val derive : ?rows:int array -> t -> Relation.t -> Table.t
+(** [derive ?rows src rel] is a table over [rel] holding [src]'s rows
+    (all of them, or those at [rows], in that order, repeats allowed)
+    projected on [rel]'s attributes, which must all be attributes of
+    [src]'s table. The table is deferred ({!Table.materialized} is
+    [false]) and its memoized store is fully encoded, with fresh
+    segments and dictionaries: it shares no mutable state with [src],
+    so later mutations on either side never reach the other. Raises
+    [Invalid_argument] on an attribute [src] lacks. *)
+
+val distinct_rows : t -> non_null:string list -> string list -> int array
+(** The first row (ascending) of each distinct projection on the given
+    attributes, NULL comparing equal to NULL, skipping rows with a NULL
+    in any [non_null] attribute — found by hashing code tuples, with no
+    value touched. *)
+
+val project_distinct_rows : t -> string list -> int array
+(** One row per distinct NULL-free projection on the given attributes,
+    listed in exactly the order [Table.project_distinct] lists the
+    projections on the same extension. *)
+
+val iter_codes : t -> string list -> (int array -> unit) -> unit
+(** Every row in order, as its codes on the given attributes (decode
+    through {!column_dict}), read segment by segment: no tuple array is
+    materialized. The array passed to the callback is reused between
+    rows — copy what must outlive the call. Encodes missing columns
+    first. *)
 
 (** Streaming store construction: the ingest path appends dictionary
     codes column-by-column as rows arrive, sealing every full segment
